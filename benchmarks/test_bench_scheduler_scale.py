@@ -6,11 +6,11 @@ Two measurements:
   cluster with the matrix-form :class:`ClusterScheduler` and compares
   plans/second against the seed per-server loop
   (:class:`ReferenceLoopScheduler`);
-* the scaling curve (PR 7, extended to 100k servers in PR 9) sweeps fleet
-  sizes and compares the incremental batched scheduler (tiered candidate
-  index + provable-run scatter commits) against the dense PR 6 baseline
-  (``incremental=False`` + sequential ``place``), asserting >=25x at the
-  largest size -- the regime the tiered index exists for.
+* the scaling curve sweeps fleet sizes up to 100k servers and compares
+  batched placement (dense below the tiered threshold, the tiered
+  candidate index above it) against the dense baseline (a
+  ``ClusterLedger.best_fit_row_dense`` + commit loop), asserting >=25x at
+  the largest size -- the regime the tiered index exists for.
 
 References are timed on a prefix of the same arrival sequence -- their
 per-plan cost is dominated by the full server scan, which is independent
@@ -76,13 +76,13 @@ def test_scheduler_scaling_curve(benchmark):
     smoke = bench_smoke_enabled()
     result = run_once(benchmark, measure_scheduler_scaling, smoke=smoke)
 
-    print("\nScheduler scaling curve (incremental place_batch vs dense PR 6):")
+    print("\nScheduler scaling curve (place_batch vs dense baseline):")
     for point in result["curve"]:
         extrapolated = (" (extrapolated from "
                         f"{point['dense_prefix_plans']}-plan prefix)"
                         if point["dense_extrapolated"] else "")
         print(f"  {point['n_servers']:6d} servers: "
-              f"incremental {point['incremental_plans_per_s']:8.0f} plans/s, "
+              f"place_batch {point['scheduler_plans_per_s']:8.0f} plans/s, "
               f"dense {point['dense_plans_per_s']:8.0f} plans/s{extrapolated}, "
               f"speedup {point['speedup']:6.2f}x "
               f"({point['accepted']} accepted, {point['rejected']} rejected, "
@@ -93,6 +93,6 @@ def test_scheduler_scaling_curve(benchmark):
     # the 100k-server regime the tiered candidate index exists for.
     assert all(point["decisions_identical"] for point in result["curve"])
     assert_perf(result["largest_speedup"] >= 25.0,
-                f"expected >=25x incremental speedup at "
+                f"expected >=25x place_batch speedup at "
                 f"{result['largest_size']} servers, "
                 f"got {result['largest_speedup']:.1f}x")

@@ -5,8 +5,8 @@ Writes ``BENCH_<date>.json`` (see ``--output-dir``) with the headline
 performance numbers tracked PR over PR:
 
 * placement throughput (plans/s) of the vectorized scheduler, plus the
-  multi-size scaling curve (to 100k servers) of the incremental batched
-  scheduler against the dense baseline, with per-size peak RSS and an
+  multi-size scaling curve (to 100k servers) of batched placement
+  against the dense baseline, with per-size peak RSS and an
   explicit flag + factor whenever the dense rate is extrapolated from a
   timed prefix,
 * replay throughput (observed server-slots/s) of the vectorized meter,
@@ -100,7 +100,7 @@ def measure_placement(smoke: bool) -> dict:
 
 
 def measure_scaling(smoke: bool) -> dict:
-    """Scheduler scaling curve: incremental place_batch vs the dense baseline."""
+    """Scheduler scaling curve: place_batch vs the dense baseline."""
     return measure_scheduler_scaling(smoke=smoke)
 
 
@@ -235,11 +235,11 @@ def print_summary(record: dict) -> None:
     print(f"  placement  {placement['plans_per_second']:12.0f} plans/s")
     scaling = record["scheduler_scaling"]
     # "~" marks a dense rate extrapolated from a timed prefix (the factor
-    # is in the JSON as dense_extrapolation_factor) -- the incremental
-    # rate and the speedup denominator, never a measured end-to-end dense
-    # wall-clock at that size.
+    # is in the JSON as dense_extrapolation_factor) -- the speedup
+    # denominator, never a measured end-to-end dense wall-clock at that
+    # size.
     points = ", ".join(
-        f"{p['n_servers']}sv {p['incremental_plans_per_s']:.0f}/s "
+        f"{p['n_servers']}sv {p['scheduler_plans_per_s']:.0f}/s "
         f"({'~' if p['dense_extrapolated'] else ''}{p['speedup']:.1f}x)"
         for p in scaling["curve"])
     print(f"  scaling    {points}")

@@ -1,9 +1,9 @@
 """REP006: ledger demand/cache arrays are only written by the row mutators.
 
-:class:`~repro.core.scheduler.ClusterLedger` keeps incremental caches
-(``demand_sum``, ``demand_peak``, ``va_peak``, ``score_base``, ``row_used``,
+:class:`~repro.core.scheduler.ClusterLedger` keeps row caches
+(``demand_peak``, ``va_peak``, ``score_base``, ``row_used``,
 ``row_available``) alongside the raw accounting arrays (``demand``,
-``pa_memory``, ``va_demand``).  The incremental-scoring contract
+``pa_memory``, ``va_demand``).  The row-cache contract
 (``docs/architecture.md``) is that every mutation flows through
 ``commit_row`` / ``release_row`` / ``assert_row_empty`` / ``disable_row``,
 which refresh the caches for the touched row in the
@@ -28,19 +28,18 @@ from typing import Iterator
 from repro.analysis.base import Rule, register_rule
 from repro.analysis.engine import ModuleContext
 
-#: Raw accounting arrays plus the incremental caches derived from them.
+#: Raw accounting arrays plus the row caches derived from them.
 _LEDGER_ARRAYS = frozenset({
     "demand", "pa_memory", "va_demand",
-    "demand_sum", "demand_peak", "va_peak", "score_base", "row_used",
-    "row_available",
+    "demand_peak", "va_peak", "score_base", "row_used", "row_available",
 })
 
-#: The sanctioned mutators: construction, the row mutators (single-row and
-#: the batched scatter), the teardown check, the failure-injection flip,
-#: and the cache refresher they all delegate to.
+#: The sanctioned mutators: construction, the row mutators, the teardown
+#: check, the failure-injection flip, and the cache refresher they all
+#: delegate to.
 _ALLOWED_FUNCTIONS = frozenset({
-    "__init__", "commit_row", "commit_rows", "release_row",
-    "assert_row_empty", "disable_row", "_refresh_row_caches",
+    "__init__", "commit_row", "release_row", "assert_row_empty",
+    "disable_row", "_refresh_row_caches",
 })
 
 
@@ -61,7 +60,7 @@ class LedgerWriteRule(Rule):
     rule_id = "REP006"
     title = "ledger-direct-write"
     rationale = ("writes to ClusterLedger demand/cache arrays outside the "
-                 "row mutators desynchronize the incremental score caches")
+                 "row mutators desynchronize the row caches")
     interests = (ast.Assign, ast.AugAssign)
 
     def visit(self, node: ast.AST, ctx: ModuleContext) -> None:
@@ -76,5 +75,5 @@ class LedgerWriteRule(Rule):
                     ctx.report(self, node,
                                f"write to ledger array `.{attribute.attr}` in "
                                f"`{ctx.current_function_name()}`; mutate via "
-                               f"commit_row/release_row so the incremental "
+                               f"commit_row/release_row so the row "
                                f"caches stay in sync")

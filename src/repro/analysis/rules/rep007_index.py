@@ -1,7 +1,7 @@
 """REP007: the tiered candidate index is only written by the row mutators.
 
 :class:`~repro.core.scheduler.ClusterLedger` maintains a tiered candidate
-index alongside the incremental caches REP006 protects: used rows bucketed
+index alongside the row caches REP006 protects: used rows bucketed
 by ``score_base`` band (``_row_band`` / ``_band_members``) and one
 min-heap of empty rows per capacity kind (``_empty_heaps``).  The index
 contract (``docs/architecture.md``) is that every structure is maintained
@@ -59,9 +59,8 @@ _HEAP_FUNCTIONS = frozenset({
 #: row mutators (which all funnel through the cache refresher), and the
 #: index mover the refresher delegates to.
 _ALLOWED_FUNCTIONS = frozenset({
-    "__init__", "rebuild_candidate_index", "commit_row", "commit_rows",
-    "release_row", "assert_row_empty", "_refresh_row_caches",
-    "_index_update_row",
+    "__init__", "rebuild_candidate_index", "commit_row", "release_row",
+    "assert_row_empty", "_refresh_row_caches", "_index_update_row",
 })
 
 

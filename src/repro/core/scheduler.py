@@ -42,42 +42,57 @@ into a few dense matrix operations.
 view over one ledger row; accounts constructed standalone get a private
 single-row ledger, so existing callers and tests keep working unchanged.
 
-Incremental score caching and the summation-order contract
-----------------------------------------------------------
+Two best-fit paths, chosen by fleet size
+----------------------------------------
 
-``place()`` no longer pays a full ``(n_resources, n_servers, n_windows)``
-pass per plan.  The ledger maintains per-``(resource, server)`` caches --
-``demand_sum``/``demand_peak`` plus the VA peak ``va_peak`` -- refreshed in
-O(n_windows) whenever a row mutates.  The caches are *recomputed from the
-mutated row*, never incremented, so they are bitwise-equal to a fresh
-full-matrix reduction by construction (no drift to test away; the churn
-differential suite pins this anyway).
+:meth:`ClusterLedger.best_fit_row` reaches one decision through one of two
+paths:
+
+* **dense** (:meth:`ClusterLedger.best_fit_row_dense`) below
+  :data:`_TIERED_MIN_SERVERS` servers, and on any fleet with a positive
+  capacity under :data:`_CAPACITY_FLOOR`: the admission masks and the
+  packing score of every server in one broadcasted pass;
+* **tiered** (:meth:`ClusterLedger._best_fit_row_tiered`) at or above that
+  size: a sublinear descent over a candidate index, then an exact re-score
+  of the shortlist.  When the descent cannot stay sublinear it returns
+  :data:`_TIERED_UNDECIDED` and the dense pass decides instead.
+
+Both paths are exact, so the choice is purely a performance dispatch: below
+a few thousand servers the index bookkeeping costs more than the dense pass
+it saves, above it the dense pass's full-fleet reduction dominates.
+``ClusterScheduler.place_batch`` validates a batch up front and then admits
+its plans one at a time through the same path as ``place``.
+
+Row caches and the summation-order contract
+-------------------------------------------
+
+The tiered path reads per-``(resource, server)`` caches -- the window peak
+``demand_peak``, the VA peak ``va_peak`` and the score base
+``score_base`` -- refreshed in O(n_windows) whenever a row mutates.  The
+caches are *recomputed from the mutated row*, never incremented, so they
+are bitwise-equal to a fresh full-matrix reduction by construction (no
+drift to test away; the churn differential suite pins this anyway).
 
 The summation-order contract: the dense score of a server is
 ``sum_r[(mean_w committed + plan demand) / capacity] / positive_count``,
 where the window mean and the resource sum each reduce a C-contiguous axis
 in index order.  Gathering a *subset* of rows (``demand[:, rows, :]``)
 yields the same contiguous per-row layout, so re-scoring only candidate
-rows reproduces the full pass bitwise.  The cached sums cannot reproduce
-that order (they pre-round ``sum_w`` before the plan term is added), so
-:meth:`ClusterLedger.best_fit_row` only uses them to *screen*: an exact
-interval argument (IEEE-754 addition is monotone, and the cached peaks are
-exact row maxima) classifies every server as surely-fitting, surely-failing
+rows reproduces the full pass bitwise.  The cached score base cannot
+reproduce that order (it pre-rounds ``sum_w`` before the plan term is
+added), so the tiered path only uses it to *screen*: an exact interval
+argument (IEEE-754 addition is monotone, and the cached peaks are exact row
+maxima) classifies every scanned server as surely-fitting, surely-failing
 or uncertain, and a documented tolerance band over the approximate scores
 bounds which rows can possibly win.  The shortlisted rows are then
 re-checked and re-scored with the exact dense arithmetic, which preserves
-bitwise-identical tie-breaking; whenever exactness cannot be guaranteed
-(degenerate capacities, or a band covering most of the fleet) the ledger
-falls back to the dense path wholesale.  ``ClusterScheduler.place_batch``
-amortizes the per-plan preprocessing across an arrival batch on top of the
-same row-level machinery, with decisions identical to sequential ``place``.
+bitwise-identical tie-breaking.
 
 The tiered candidate index
 --------------------------
 
-The screened path above still touches every server per placement (a few
-O(n_servers) vector ops).  To make placement cost sublinear in fleet size
-the ledger additionally maintains a *tiered candidate index*:
+To make placement cost sublinear in fleet size the ledger maintains a
+*tiered candidate index*:
 
 * used rows are bucketed into **score bands** of width :data:`_BAND_WIDTH`
   over their cached ``score_base`` (``_row_band`` / ``_band_members``);
@@ -88,37 +103,18 @@ the ledger additionally maintains a *tiered candidate index*:
 
 Within one capacity kind the approximate score is monotone in
 ``score_base``, so a band has a cheap upper bound on the approximate score
-of every row it contains.  :meth:`ClusterLedger.best_fit_row` descends
-bands in decreasing upper-bound order, stops as soon as the remaining
-bands provably sit below the SCORE_TOLERANCE frontier of the best
-surely-fitting row, and hands the surviving shortlist to the same exact
-gathered re-verify as the screened path.  Whenever the scan cannot stay
-sublinear (band occupancy, no fitting row found yet, degenerate
-capacities) it falls back to the screened path, which can in turn fall
-back to the dense path -- each link of the chain is individually exact, so
-the decision is bitwise-identical no matter where the chain stops.  The
-index itself is only ever written inside the sanctioned mutators
-(REP007), exactly like the row caches (REP006): ``_refresh_row_caches``
-moves the touched row between bands/heaps in the same call that refreshes
-its caches, and stale heap entries are popped eagerly by the mutator so
-the read path never mutates the index.
-
-Batched admission commits *provably independent runs* with one vectorized
-multi-row scatter (:meth:`ClusterLedger.commit_rows`):
-``ClusterScheduler.place_batch`` evaluates consecutive plans against the
-ledger state frozen at the start of the current run, and keeps extending
-the run while each accepted plan (a) chooses a row no earlier run member
-chose, and (b) cannot be overtaken by any earlier member's post-commit
-score even under worst-case rounding (rejections are always safe: commits
-only add demand, and IEEE-754 addition is monotone, so a plan rejected
-against the stale state is also rejected against the true state).  The
-first plan that fails either proof ends the run: the accumulated members
-are scatter-committed, and the plan re-evaluates against the true state as
-the start of the next run.  Every row receives at most one commit per
-scatter, so the scatter is elementwise the same additions as sequential
-``commit_row`` calls, and the caches refresh per row afterwards -- the
-decision sequence, including rejection ordering, stays bitwise-equal to
-looped ``place``.
+of every row it contains.  The tiered path descends bands in decreasing
+upper-bound order, stops as soon as the remaining bands provably sit below
+the SCORE_TOLERANCE frontier of the best surely-fitting row, and hands the
+surviving shortlist to the exact gathered re-verify.  Whenever the scan
+cannot stay sublinear (band occupancy, no fitting row found yet) it gives
+up and the dense pass decides -- both are exact, so the decision is
+bitwise-identical either way.  The index itself is only ever written
+inside the sanctioned mutators (REP007), exactly like the row caches
+(REP006): ``_refresh_row_caches`` moves the touched row between
+bands/heaps in the same call that refreshes its caches, and stale heap
+entries are popped eagerly by the mutator so the read path never mutates
+the index.
 """
 
 # repro: hot-path  -- REP003: placement evaluates every server per VM; the
@@ -144,8 +140,8 @@ FIT_EPSILON = 1e-6
 #: Residues at or below this magnitude after a release are snapped to zero so
 #: repeated commit/release churn cannot accumulate float drift.
 RESIDUE_EPSILON = 1e-9
-#: The screened best-fit path scores candidates approximately from the cached
-#: row sums, then re-scores every row within this band of the best
+#: The tiered best-fit path scores candidates approximately from the cached
+#: score bases, then re-scores every row within this band of the best
 #: surely-fitting score with the exact dense arithmetic.  For servers a plan
 #: fits, the approximation error is ~1e-13 (each per-resource ratio is at most
 #: ~2 given the capacity floor below, across tens of 2^-53 rounding steps), so
@@ -154,9 +150,9 @@ SCORE_TOLERANCE = 1e-9
 #: The SCORE_TOLERANCE error bound assumes positive capacities of at least
 #: this size; degenerate configs below it use the dense path wholesale.
 _CAPACITY_FLOOR = 1e-3
-#: Minimum candidate-set size at which the screened path abandons the
-#: shortlist and re-runs the dense evaluation (e.g. an empty cluster, where
-#: every approximate score ties inside the band).
+#: Floor of the tiered scan's row budget (and the size of its first
+#: screening chunk): once more than ``max(this, n_servers // 8)`` rows are
+#: scanned or shortlisted, the scan gives up and the dense pass decides.
 _DENSE_FALLBACK_MIN = 32
 #: Width of one ``score_base`` band in the tiered candidate index.  Scores
 #: are per-resource committed fractions summed over <= n_resources terms, so
@@ -170,27 +166,14 @@ _BAND_WIDTH = 1.0 / 64.0
 #: frontier.
 _BAND_EDGE_SLACK = 1e-9
 #: Sentinel returned by the tiered scan when band occupancy makes a
-#: sublinear exact answer uncertain; the caller falls back to the screened
-#: O(n_servers) path (which may itself fall back to the dense path).
+#: sublinear exact answer uncertain; ``best_fit_row`` then runs the dense
+#: pass.
 _TIERED_UNDECIDED = -2
-#: Slack added to a pending run member's reconstructed post-commit
-#: ``score_base`` upper bound (see ``place_batch``): the true refreshed base
-#: differs from ``fl(base + mean-term)`` by a handful of 2^-53 rounding
-#: steps (~1e-14 at these magnitudes), so 1e-10 is a safe over-estimate
-#: while staying far below the 2x SCORE_TOLERANCE overtake margin.
-_RUN_BASE_SLACK = 1e-10
-#: Below this fleet size the tiered scan is pure overhead: the screened
-#: path's O(n_servers) vector ops already cost less than the band-descent
-#: bookkeeping, so ``best_fit_row`` skips straight to it.  Purely a
-#: performance dispatch -- both paths reach the same decision.
+#: Below this fleet size the tiered scan is pure overhead: the dense pass
+#: costs less than the band-descent bookkeeping, so ``best_fit_row`` uses
+#: it directly.  Purely a performance dispatch -- both paths reach the same
+#: decision.
 _TIERED_MIN_SERVERS = 8192
-#: Starting credit for the provable-run partition in ``place_batch``.
-#: Consolidating arrival patterns conflict on every plan (each placement
-#: makes the winning row *more* attractive to the next plan), in which case
-#: every run commits a single member and the stale evaluation that detected
-#: the conflict is wasted; the credit decays on such degenerate runs and the
-#: batch falls back to sequential admission when it runs out.
-_RUN_CREDIT = 8
 
 #: Indices of resources inside ``ALL_RESOURCES``-ordered arrays.
 _CPU_INDEX = ALL_RESOURCES.index(Resource.CPU)
@@ -206,11 +189,10 @@ def plan_demand_matrix(plan: VMResourcePlan) -> np.ndarray:
 
 def _plan_screen_stats(plan_demand: np.ndarray,
                        va_window_demand: np.ndarray) -> tuple:
-    """Per-resource extrema and means feeding the screened best-fit path.
+    """Per-resource extrema and means feeding the tiered screen.
 
-    The peaks/minima are exact window maxima/minima (order-independent), so
-    precomputing them for a whole batch yields the same values as computing
-    them per plan; the means only feed the approximate scores.
+    The peaks/minima are exact window maxima/minima; the means only feed
+    the approximate scores.
     """
     return (plan_demand.max(axis=1), plan_demand.min(axis=1),
             plan_demand.mean(axis=1),
@@ -226,9 +208,8 @@ class ClusterLedger:
     """
 
     __slots__ = ("windows", "n_servers", "n_windows", "capacity", "demand",
-                 "pa_memory", "va_demand", "demand_sum", "demand_peak",
-                 "va_peak", "score_base", "row_used", "row_available",
-                 "_inv_capacity",
+                 "pa_memory", "va_demand", "demand_peak", "va_peak",
+                 "score_base", "row_used", "row_available", "_inv_capacity",
                  "_inv_counts", "_fit_threshold", "_memory_threshold",
                  "_score_safe", "_capacity_kind", "_kind_count",
                  "_kind_inv_capacity", "_kind_inv_counts", "_row_band",
@@ -248,11 +229,11 @@ class ClusterLedger:
         self.demand = np.zeros((len(ALL_RESOURCES), self.n_servers, self.n_windows))
         self.pa_memory = np.zeros(self.n_servers)
         self.va_demand = np.zeros((self.n_servers, self.n_windows))
-        # Incremental caches (module docstring: "Incremental score caching").
+        # Row caches (module docstring: "Row caches and the summation-order
+        # contract").
         # Derived strictly from the row arrays above and refreshed by
         # _refresh_row_caches in the same mutation that touches a row (REP006
         # enforces that no other code writes any of these arrays).
-        self.demand_sum = np.zeros((len(ALL_RESOURCES), self.n_servers))
         self.demand_peak = np.zeros((len(ALL_RESOURCES), self.n_servers))
         self.va_peak = np.zeros(self.n_servers)
         self.score_base = np.zeros(self.n_servers)
@@ -373,19 +354,6 @@ class ClusterLedger:
         counts = positive.sum(axis=0)
         return ratios.sum(axis=0) / np.maximum(counts, 1)
 
-    def approx_packing_scores(self, plan_mean: np.ndarray) -> np.ndarray:
-        """Approximate packing scores from the cached per-row score bases.
-
-        ``plan_mean`` is the plan's per-resource window mean; the plan's
-        contribution is one ``(n_resources,) @ (n_resources, n_servers)``
-        product on top of the cached committed-demand term.  The result
-        tracks :meth:`packing_scores` to within the bound documented at
-        :data:`SCORE_TOLERANCE` for every server the plan fits, but is *not*
-        bitwise-identical (the cached sums round ``sum_w`` before the plan
-        term is added) -- callers must re-score candidates densely.
-        """
-        return (self.score_base + plan_mean @ self._inv_capacity) * self._inv_counts
-
     def best_fit_row_dense(self, plan_demand: np.ndarray,
                            guaranteed_memory_gb: float,
                            va_window_demand: np.ndarray,
@@ -393,8 +361,9 @@ class ClusterLedger:
         """Reference best-fit: full-matrix admission masks + dense scores.
 
         Returns the winning row index, or ``-1`` when no server fits.  This
-        is the pre-incremental placement arithmetic, kept as the exactness
-        fallback of :meth:`best_fit_row` and as the scaling-bench baseline.
+        is the path :meth:`best_fit_row` takes below
+        :data:`_TIERED_MIN_SERVERS` servers, the tiered path's exactness
+        fallback, and the scaling-bench baseline.
         """
         hypothetical = self.hypothetical_demand(plan_demand)
         vector_ok, backing_ok = self.fit_masks(
@@ -412,13 +381,20 @@ class ClusterLedger:
                      conservative: bool, stats: tuple) -> tuple:
         """Tri-state screen + approximate scores for a gathered row subset.
 
-        Elementwise the same arithmetic as the full-fleet screen in
-        :meth:`best_fit_row_screened` (no cross-row reductions), so each
-        row's surely-fits / surely-fails classification is bitwise-identical
-        to the O(n_servers) pass.  The approximate scores use a gathered
-        GEMV, which may differ from the full GEMV in the last ulp -- callers
-        must only compare them against SCORE_TOLERANCE-wide margins, never
-        bitwise across paths.
+        Three elementwise checks per row, relying only on IEEE-754 addition
+        being monotone (``fl(a + b)`` is non-decreasing in both arguments)
+        and on the cached peaks being exact row maxima: if
+        ``fl(demand_peak + plan_peak) <= fl(capacity + eps)`` every window
+        of the row fits that resource; if
+        ``fl(demand_peak + plan_min) > fl(capacity + eps)`` the peak window
+        fails it; rows proven neither way stay uncertain.  The PA term is
+        evaluated exactly and the VA backing term is bounded the same way
+        through ``va_peak``.  The approximate scores
+        ``(score_base + plan_mean @ inv_capacity) * inv_count`` track
+        :meth:`packing_scores` to within the bound documented at
+        :data:`SCORE_TOLERANCE` for every row the plan fits, but are *not*
+        bitwise-identical -- callers must only compare them against
+        SCORE_TOLERANCE-wide margins and re-score candidates exactly.
         """
         plan_peak, plan_min, plan_mean, va_peak_add, va_min_add = stats
         threshold = self._fit_threshold[:, rows]
@@ -482,13 +458,13 @@ class ClusterLedger:
     def _best_fit_row_tiered(self, plan_demand: np.ndarray,
                              guaranteed_memory_gb: float,
                              va_window_demand: np.ndarray,
-                             conservative: bool, stats: tuple) -> int:
+                             conservative: bool) -> int:
         """Band-descent candidate search over the tiered index.
 
         Returns the winning row, ``-1`` when no server fits, or
         :data:`_TIERED_UNDECIDED` when the scan cannot stay sublinear --
-        the caller then falls back to the screened O(n_servers) path, which
-        reaches the same decision by construction.
+        the caller then runs the dense pass, which reaches the same decision
+        by construction.
 
         Within one capacity kind the approximate score
         ``(score_base + plan_term) * inv_count`` is monotone in
@@ -500,11 +476,12 @@ class ClusterLedger:
         ``best_sure - SCORE_TOLERANCE``, no unscanned row can reach the
         frontier -- the winner and every row tied with it live in scanned
         bands, because a fitting row's approximate score is within ~1e-13
-        of its exact score (same argument as the screened path).  Empty
+        of its exact score (:meth:`_screen_rows`).  Empty
         rows contribute one candidate per capacity kind: the heap top,
         which is the lowest-index empty row of its kind, the only one that
         can survive the first-max tie-break among interchangeable rows.
         """
+        stats = _plan_screen_stats(plan_demand, va_window_demand)
         plan_mean = stats[2]
         budget = max(_DENSE_FALLBACK_MIN, self.n_servers // 8)
         kind_term = plan_mean @ self._kind_inv_capacity
@@ -572,142 +549,40 @@ class ClusterLedger:
             conservative)
 
     def best_fit_row(self, plan_demand: np.ndarray, guaranteed_memory_gb: float,
-                     va_window_demand: np.ndarray, conservative: bool,
-                     stats: Optional[tuple] = None) -> int:
-        """Exact best-fit via the tiered index, screened and dense fallbacks.
+                     va_window_demand: np.ndarray, conservative: bool) -> int:
+        """Exact best-fit: dense below the tiered threshold, tiered above.
 
-        Tries :meth:`_best_fit_row_tiered` first (sublinear in fleet size);
-        when the tiered scan cannot stay sublinear it falls back to
-        :meth:`best_fit_row_screened` (O(n_servers) screen), which itself
-        falls back to :meth:`best_fit_row_dense` when the shortlist
-        degenerates.  Every link of the chain reproduces the dense
-        decision bitwise, so the chain may stop anywhere.
+        Below :data:`_TIERED_MIN_SERVERS` servers (or when degenerate
+        capacities void the screen's error bound) this is
+        :meth:`best_fit_row_dense`.  At or above it,
+        :meth:`_best_fit_row_tiered` decides, and the dense pass takes over
+        whenever the tiered scan returns :data:`_TIERED_UNDECIDED`.  Both
+        paths reproduce the dense decision bitwise.
         """
-        if not self._score_safe:
-            return self.best_fit_row_dense(plan_demand, guaranteed_memory_gb,
-                                           va_window_demand, conservative)
-        if stats is None:
-            stats = _plan_screen_stats(plan_demand, va_window_demand)
-        if self.n_servers >= _TIERED_MIN_SERVERS:
+        if self._score_safe and self.n_servers >= _TIERED_MIN_SERVERS:
             row = self._best_fit_row_tiered(plan_demand, guaranteed_memory_gb,
-                                            va_window_demand, conservative,
-                                            stats)
+                                            va_window_demand, conservative)
             if row != _TIERED_UNDECIDED:
                 return row
-        return self.best_fit_row_screened(plan_demand, guaranteed_memory_gb,
-                                          va_window_demand, conservative,
-                                          stats=stats)
-
-    def best_fit_row_screened(self, plan_demand: np.ndarray,
-                              guaranteed_memory_gb: float,
-                              va_window_demand: np.ndarray, conservative: bool,
-                              stats: Optional[tuple] = None) -> int:
-        """Screened best-fit over the cached row sums, exact by construction.
-
-        Three steps, each relying only on IEEE-754 addition being monotone
-        (``fl(a + b)`` is non-decreasing in both arguments) and on the cached
-        peaks being exact row maxima:
-
-        1. *Screen* in O(n_resources x n_servers): if
-           ``fl(demand_peak + plan_peak) <= fl(capacity + eps)`` every window
-           of the row fits that resource; if
-           ``fl(demand_peak + plan_min) > fl(capacity + eps)`` the peak
-           window fails it.  Rows proven neither way stay *uncertain*.  The
-           PA term is evaluated exactly; the VA backing term is bounded the
-           same way through ``va_peak``.
-        2. *Band*: keep every not-surely-failing row whose approximate score
-           is within :data:`SCORE_TOLERANCE` of the best surely-fitting
-           row's.  The true winner (and every row tied with it) is fittable,
-           so its approximate score sits within the ~1e-13 error bound of its
-           exact score and cannot fall outside the band.
-        3. *Verify*: re-check admission and re-score the shortlisted rows
-           with the exact dense arithmetic.  Gathered rows are C-contiguous,
-           so the window mean and resource sum reduce in the same order as
-           the full-matrix pass (summation-order contract, module docstring)
-           and scores are bitwise-identical to :meth:`best_fit_row_dense`;
-           rows are scanned in ascending order, preserving first-max
-           tie-breaking.
-
-        Falls back to :meth:`best_fit_row_dense` when exactness cannot be
-        guaranteed (positive capacities below the documented floor) or when
-        the shortlist degenerates to a large fraction of the fleet (e.g. an
-        empty cluster, where every approximate score ties).
-        """
-        if not self._score_safe:
-            return self.best_fit_row_dense(plan_demand, guaranteed_memory_gb,
-                                           va_window_demand, conservative)
-        if stats is None:
-            stats = _plan_screen_stats(plan_demand, va_window_demand)
-        plan_peak, plan_min, plan_mean, va_peak_add, va_min_add = stats
-        threshold = self._fit_threshold
-        sure_ok = np.all(self.demand_peak + plan_peak[:, None] <= threshold, axis=0)
-        sure_bad = np.any(self.demand_peak + plan_min[:, None] > threshold, axis=0)
-        capacity_memory = self._memory_threshold
-        new_pa = self.pa_memory + guaranteed_memory_gb
-        pa_ok = new_pa <= capacity_memory
-        if conservative:
-            fit_hi = (pa_ok & sure_ok
-                      & (new_pa + (self.va_peak + va_peak_add) <= capacity_memory))
-            sure_fail = (~pa_ok | sure_bad
-                         | (new_pa + (self.va_peak + va_min_add) > capacity_memory))
-        else:
-            fit_hi = pa_ok & sure_ok
-            sure_fail = ~pa_ok | sure_bad
-        fit_hi &= self.row_available
-        sure_fail |= ~self.row_available
-        maybe = ~sure_fail
-        # fit_hi <= true fit set <= maybe (setwise); rows outside `maybe`
-        # cannot fit and rows in `fit_hi` need no window re-check to count
-        # as candidates, but are still re-scored below.
-        approx = self.approx_packing_scores(plan_mean)
-        if fit_hi.any():
-            best_sure = approx[fit_hi].max()
-            candidate_mask = maybe & (approx >= best_sure - SCORE_TOLERANCE)
-        else:
-            candidate_mask = maybe
-        rows = np.nonzero(candidate_mask)[0]
-        if rows.size == 0:
-            return -1
-        if rows.size > len(ALL_RESOURCES):
-            # Empty rows with bitwise-identical capacity columns have
-            # identical scores and admission outcomes, so only the first
-            # empty candidate of each capacity kind can survive the first-max
-            # tie-break; the rest are pruned before the exact re-score.  This
-            # keeps the shortlist O(ties + kinds) even while most of a large
-            # fleet is still empty (every same-kind empty row is banded
-            # together, so the kept row is the globally lowest-index one).
-            keep = self.row_used[rows]  # fancy indexing: a fresh, mutable array
-            if not keep.all():
-                empty_positions = np.nonzero(~keep)[0]
-                first_per_kind = np.unique(
-                    self._capacity_kind[rows[empty_positions]],
-                    return_index=True)[1]
-                keep[empty_positions[first_per_kind]] = True
-                rows = rows[keep]
-        if rows.size > max(_DENSE_FALLBACK_MIN, self.n_servers // 8):
-            return self.best_fit_row_dense(plan_demand, guaranteed_memory_gb,
-                                           va_window_demand, conservative)
-        return self._verify_candidate_rows(rows, plan_demand,
-                                           guaranteed_memory_gb,
-                                           va_window_demand, conservative)
+        return self.best_fit_row_dense(plan_demand, guaranteed_memory_gb,
+                                       va_window_demand, conservative)
 
     # ------------------------------------------------------------------ #
     # Row updates
     # ------------------------------------------------------------------ #
     def _refresh_row_caches(self, row: int) -> None:
-        """Recompute one row's cached sums/peaks from the row arrays.
+        """Recompute one row's cached peaks and score base from the row arrays.
 
         The caches are always *recomputed* from the mutated row, never
         incremented, so they stay bitwise-equal to a fresh full-matrix
-        reduction (``demand.sum(axis=2)`` / ``demand.max(axis=2)`` /
-        ``va_demand.max(axis=1)`` reduce the same contiguous rows in the
-        same order) and cannot drift under commit/release churn; the same
-        holds for ``score_base`` against a per-column recompute of its
-        defining dot product.
+        reduction (``demand.max(axis=2)`` / ``va_demand.max(axis=1)`` reduce
+        the same contiguous rows in the same order) and cannot drift under
+        commit/release churn; the same holds for ``score_base`` against a
+        per-column recompute of its defining dot product over
+        ``demand.sum(axis=2)``.
         """
         row_demand = self.demand[:, row, :]
         row_sum = row_demand.sum(axis=1)
-        self.demand_sum[:, row] = row_sum
         self.demand_peak[:, row] = row_demand.max(axis=1)
         self.va_peak[row] = self.va_demand[row].max()
         self.score_base[row] = (row_sum / self.n_windows) @ self._inv_capacity[:, row]
@@ -765,31 +640,6 @@ class ClusterLedger:
         self.pa_memory[row] += memory_plan.guaranteed
         self.va_demand[row, :] += memory_plan.window_oversubscribed
         self._refresh_row_caches(row)
-
-    def commit_rows(self, rows: np.ndarray, plans: Sequence[VMResourcePlan],
-                    plan_demand: np.ndarray) -> None:
-        """Commit one plan per row in a single vectorized scatter.
-
-        *rows* must be distinct (each row receives exactly one plan), so
-        every ledger element gets exactly one addition -- elementwise the
-        same ``fl(committed + demand)`` as the equivalent sequence of
-        :meth:`commit_row` calls, in any order.  ``plan_demand`` is the
-        ``(n_plans, n_resources, n_windows)`` stack of the plans' demand
-        matrices (the batch path already has it; rebuilding it here would
-        repeat the preprocessing the batch amortized).  The caches refresh
-        per row: ``score_base`` deliberately stays a per-row dot product,
-        because batched GEMV and per-row ``@`` are not bitwise-equal on
-        every BLAS.
-        """
-        memory_plans = [plan.plans[Resource.MEMORY] for plan in plans]
-        self.demand[:, rows, :] += plan_demand.transpose(1, 0, 2)
-        self.pa_memory[rows] += np.fromiter(
-            (memory_plan.guaranteed for memory_plan in memory_plans),
-            float, len(memory_plans))
-        self.va_demand[rows, :] += np.stack(
-            [memory_plan.window_oversubscribed for memory_plan in memory_plans])
-        for row in rows:
-            self._refresh_row_caches(int(row))
 
     def release_row(self, row: int, plan: VMResourcePlan) -> None:
         """Subtract a plan from a row, snapping near-zero residues to zero.
@@ -1059,29 +909,23 @@ class PlacementDecision:
 class ClusterScheduler:
     """Best-fit scheduler over the servers of one cluster.
 
-    Placement is fully vectorized: both admission checks and the best-fit
-    packing score are evaluated for all servers in one pass over the
-    :class:`ClusterLedger` matrices.  Ties on the packing score resolve to
-    the lowest server index, matching the reference per-server loop.
+    Every placement is one :meth:`ClusterLedger.best_fit_row` call over the
+    :class:`ClusterLedger` matrices: a dense pass over all servers below
+    the tiered threshold, the tiered candidate index above it.  Ties on the
+    packing score resolve to the lowest server index, matching the
+    reference per-server loop.
 
     ``decisions`` keeps only the most recent *decision_history* outcomes (a
     diagnostic ring); accept/reject totals are running counters, so neither
     grows with the number of placements.
-
-    *incremental* selects the screened best-fit path over the ledger's
-    cached row sums (:meth:`ClusterLedger.best_fit_row`); it produces
-    bitwise-identical decisions to the dense path, which remains selectable
-    (``incremental=False``) as the pre-cache baseline the scaling bench
-    measures against.
     """
 
     def __init__(self, cluster: ClusterConfig, windows: TimeWindowConfig,
                  conservative: bool = True, decision_history: int = 256,
-                 incremental: bool = True, class_aware: bool = False):
+                 class_aware: bool = False):
         self.cluster = cluster
         self.windows = windows
         self.conservative = conservative
-        self.incremental = incremental
         self.class_aware = class_aware
         server_configs = cluster.server_configs()
         self.ledger = ClusterLedger(server_configs, windows)
@@ -1121,7 +965,7 @@ class ClusterScheduler:
         plan_demand = plan_demand_matrix(plan)
         if self.class_aware and allocation_class is not None:
             return self._place_class_aware(plan, plan_demand, allocation_class)
-        return self._place_prepared(plan, plan_demand, None)
+        return self._place_prepared(plan, plan_demand)
 
     def _place_class_aware(self, plan: VMResourcePlan, plan_demand: np.ndarray,
                            allocation_class: AllocationClass
@@ -1142,11 +986,7 @@ class ClusterScheduler:
         memory_plan = plan.plans[Resource.MEMORY]
 
         def find_row() -> int:
-            if self.incremental:
-                return self.ledger.best_fit_row(
-                    plan_demand, memory_plan.guaranteed,
-                    memory_plan.window_oversubscribed, self.conservative)
-            return self.ledger.best_fit_row_dense(
+            return self.ledger.best_fit_row(
                 plan_demand, memory_plan.guaranteed,
                 memory_plan.window_oversubscribed, self.conservative)
 
@@ -1177,192 +1017,33 @@ class ClusterScheduler:
         return decision
 
     def place_batch(self, plans: Sequence[VMResourcePlan]) -> List[PlacementDecision]:
-        """Place an arrival batch, amortizing preprocessing and commits.
+        """Place an arrival batch in order.
 
-        Decisions are bitwise-identical to calling :meth:`place` on each plan
-        in order, including rejection ordering: the demand tensors and the
-        screening extrema/means feeding :meth:`ClusterLedger.best_fit_row`
-        are built in one stacked pass for the whole batch, and admission runs
-        as *provably independent runs* (module docstring) whose members are
-        committed with one multi-row scatter
-        (:meth:`ClusterLedger.commit_rows`); any plan whose decision could
-        depend on a pending commit ends the run and re-evaluates against the
-        true ledger state.  The only divergence from the sequential loop is
-        on the error path: window-config mismatches are validated up front,
-        so a bad plan fails the whole batch before any commit instead of
-        after its predecessors were placed.
+        Decisions are identical to calling :meth:`place` on each plan in
+        order, including rejection ordering.  The only divergence from the
+        sequential loop is on the error path: window-config mismatches are
+        validated up front, so a bad plan fails the whole batch before any
+        commit instead of after its predecessors were placed.
         """
         plans = list(plans)
         for plan in plans:
             if plan.windows.windows_per_day != self.windows.windows_per_day:
                 raise ValueError(
                     "plan and server use different time window configurations")
-        if not plans:
-            return []
-        tensor = np.stack([plan_demand_matrix(plan) for plan in plans])
-        va = np.stack([plan.plans[Resource.MEMORY].window_oversubscribed
-                       for plan in plans])
-        # Extrema are order-independent and the means reduce the same
-        # contiguous rows as the per-plan path, so the batched stats are
-        # bitwise-equal to _plan_screen_stats on each plan.
-        peaks = tensor.max(axis=2)
-        mins = tensor.min(axis=2)
-        means = tensor.mean(axis=2)
-        va_peaks = va.max(axis=1)
-        va_mins = va.min(axis=1)
-        if self.incremental and self.ledger._score_safe:
-            return self._place_batch_runs(plans, tensor, peaks, mins, means,
-                                          va_peaks, va_mins)
-        return [
-            self._place_prepared(
-                plan, tensor[index],
-                (peaks[index], mins[index], means[index],
-                 float(va_peaks[index]), float(va_mins[index])))
-            for index, plan in enumerate(plans)
-        ]
+        return [self._place_prepared(plan, plan_demand_matrix(plan))
+                for plan in plans]
 
-    def _place_batch_runs(self, plans: List[VMResourcePlan],
-                          tensor: np.ndarray, peaks: np.ndarray,
-                          mins: np.ndarray, means: np.ndarray,
-                          va_peaks: np.ndarray,
-                          va_mins: np.ndarray) -> List[PlacementDecision]:
-        """Admit a batch as provably independent runs with scatter commits.
-
-        Each run evaluates consecutive plans against the ledger state frozen
-        at the run's start (commits are deferred), and only keeps a plan in
-        the run when its decision provably matches sequential admission:
-
-        * a **rejection** is always safe -- commits only add demand and
-          IEEE-754 addition is monotone, so a plan no server fits on the
-          stale state fits no server on the true state either;
-        * an **acceptance** is safe when the chosen row is not pending a
-          commit in this run (its fit and score are then untouched), and no
-          pending row's post-commit score can reach the winner's score even
-          under worst-case rounding: each pending row's post-commit
-          ``score_base`` is over-estimated by ``fl(base + mean-term)`` plus
-          :data:`_RUN_BASE_SLACK`, and the resulting approximate score must
-          stay ``2 * SCORE_TOLERANCE`` below the winner's approximate score
-          -- a margin that dwarfs the ~1e-13 approximation error, so the
-          exact comparison (and its lowest-index tie-break) cannot flip.
-
-        The first plan that fails either proof ends the run: the pending
-        members are committed with one :meth:`ClusterLedger.commit_rows`
-        scatter (bitwise-equal to their sequential commits) and the plan
-        re-evaluates against the refreshed state as the start of the next
-        run, so the decision sequence stays bitwise-identical to looped
-        :meth:`place`.
-        """
-        ledger = self.ledger
-        n = len(plans)
-        decisions: List[PlacementDecision] = []
-        pending_rows = np.empty(n, dtype=np.intp)
-        pending_ub = np.empty(n)
-        index = 0
-        credit = _RUN_CREDIT
-        while index < n:
-            if credit <= 0:
-                # Degenerate arrival pattern: every placement makes its row
-                # more attractive to the next plan, so runs keep ending after
-                # one member and each conflict wastes one stale evaluation.
-                # Sequential admission is the same decision sequence without
-                # the waste.
-                decisions.append(self._place_prepared(
-                    plans[index], tensor[index],
-                    (peaks[index], mins[index], means[index],
-                     float(va_peaks[index]), float(va_mins[index]))))
-                index += 1
-                continue
-            run_members: List[int] = []
-            run_rows: Set[int] = set()
-            duplicate_vm: Optional[str] = None
-            pending = 0
-            while index < n:
-                plan = plans[index]
-                if plan.vm_id in self._placements:
-                    # Sequential _place_prepared raises here with the
-                    # predecessors already committed; flush, then raise.
-                    duplicate_vm = plan.vm_id
-                    break
-                memory_plan = plan.plans[Resource.MEMORY]
-                stats = (peaks[index], mins[index], means[index],
-                         float(va_peaks[index]), float(va_mins[index]))
-                row = ledger.best_fit_row(
-                    tensor[index], memory_plan.guaranteed,
-                    memory_plan.window_oversubscribed, self.conservative,
-                    stats=stats)
-                if row < 0:
-                    decision = PlacementDecision(plan.vm_id, False, None,
-                                                 "no server fits")
-                    self._rejected += 1
-                    if self.decisions.maxlen:
-                        self.decisions.append(decision)
-                    decisions.append(decision)
-                    index += 1
-                    continue
-                if row in run_rows:
-                    break
-                mean_term = means[index] @ ledger._inv_capacity[:, row]
-                if pending:
-                    winner_approx = float(
-                        (ledger.score_base[row] + mean_term)
-                        * ledger._inv_counts[row])
-                    rows_view = pending_rows[:pending]
-                    overtake_ub = ((pending_ub[:pending]
-                                    + means[index]
-                                    @ ledger._inv_capacity[:, rows_view])
-                                   * ledger._inv_counts[rows_view])
-                    if not np.all(overtake_ub
-                                  < winner_approx - 2.0 * SCORE_TOLERANCE):
-                        break
-                account = self._accounts[row]
-                pending_rows[pending] = row
-                pending_ub[pending] = (float(ledger.score_base[row]
-                                             + mean_term) + _RUN_BASE_SLACK)
-                pending += 1
-                run_rows.add(row)
-                run_members.append(index)
-                self._placements[plan.vm_id] = account.server_id
-                account.plans[plan.vm_id] = plan
-                decision = PlacementDecision(plan.vm_id, True,
-                                             account.server_id)
-                self._accepted += 1
-                if self.decisions.maxlen:
-                    self.decisions.append(decision)
-                decisions.append(decision)
-                index += 1
-            if pending:
-                member_index = np.fromiter(run_members, np.intp, pending)
-                ledger.commit_rows(pending_rows[:pending],
-                                   [plans[i] for i in run_members],
-                                   tensor[member_index])
-            if duplicate_vm is not None:
-                raise ValueError(f"VM {duplicate_vm} is already placed on "
-                                 f"{self._placements[duplicate_vm]}")
-            if index < n:
-                # The run ended on a conflict (not batch end): multi-member
-                # runs earn credit, single-member runs -- where the stale
-                # evaluation was pure waste -- spend it.
-                credit = min(credit + 1, 4 * _RUN_CREDIT) if pending >= 2 \
-                    else credit - 1
-        return decisions
-
-    def _place_prepared(self, plan: VMResourcePlan, plan_demand: np.ndarray,
-                        stats: Optional[tuple]) -> PlacementDecision:
+    def _place_prepared(self, plan: VMResourcePlan,
+                        plan_demand: np.ndarray) -> PlacementDecision:
         if plan.vm_id in self._placements:
             # Silently overwriting would leak the old server's committed
             # demand forever; callers must deallocate first.
             raise ValueError(f"VM {plan.vm_id} is already placed on "
                              f"{self._placements[plan.vm_id]}")
         memory_plan = plan.plans[Resource.MEMORY]
-        if self.incremental:
-            row = self.ledger.best_fit_row(
-                plan_demand, memory_plan.guaranteed,
-                memory_plan.window_oversubscribed, self.conservative,
-                stats=stats)
-        else:
-            row = self.ledger.best_fit_row_dense(
-                plan_demand, memory_plan.guaranteed,
-                memory_plan.window_oversubscribed, self.conservative)
+        row = self.ledger.best_fit_row(
+            plan_demand, memory_plan.guaranteed,
+            memory_plan.window_oversubscribed, self.conservative)
         if row < 0:
             decision = PlacementDecision(plan.vm_id, False, None, "no server fits")
             self._rejected += 1

@@ -124,15 +124,16 @@ def measure_sweep_serial_vs_pool(trace: Trace, *, n_clusters: int = 3,
 
 def measure_scheduler_scaling(*, smoke: bool = False,
                               seed: int = 7) -> Dict[str, object]:
-    """Placement throughput across fleet sizes: incremental vs dense (PR 6).
+    """Placement throughput across fleet sizes: scheduler vs dense baseline.
 
-    For every fleet size in :func:`scheduler_scaling_sizes`, one batched
-    incremental scheduler (tiered index + provable-run scatter commits)
-    places the full arrival sequence while the dense PR 6 baseline
-    (``ClusterScheduler(..., incremental=False)`` driven by sequential
-    ``place`` calls) is timed on a prefix -- the dense per-call cost is
-    dominated by the full-fleet ``mean(axis=2)`` pass, which is independent
-    of cluster fill, so a prefix rate is representative.  Each curve point
+    For every fleet size in :func:`scheduler_scaling_sizes`, one
+    :class:`ClusterScheduler` places the full arrival sequence with
+    ``place_batch`` (dense below the tiered threshold, the tiered candidate
+    index above it).  The dense baseline, a
+    :meth:`ClusterLedger.best_fit_row_dense` + ``commit_row`` loop over a
+    fresh ledger, is timed on a prefix: its per-call cost is dominated by
+    the full-fleet ``mean(axis=2)`` pass, which is independent of cluster
+    fill, so a prefix rate is representative.  Each curve point
     records the extrapolation explicitly (``dense_extrapolated`` /
     ``dense_extrapolation_factor``) so the dense plans/s can never be
     misread as measured end-to-end, plus the process's peak RSS after the
@@ -143,7 +144,8 @@ def measure_scheduler_scaling(*, smoke: bool = False,
     size, the number tracked by the BENCH JSON.
     """
     import resource as _resource
-    from repro.core.scheduler import ClusterScheduler
+    from repro.core.resources import Resource
+    from repro.core.scheduler import ClusterLedger, ClusterScheduler, plan_demand_matrix
     from repro.simulator.synthetic import (
         BENCH_WINDOWS,
         build_placement_plans,
@@ -160,35 +162,47 @@ def measure_scheduler_scaling(*, smoke: bool = False,
         cluster = build_scaled_bench_cluster(n_servers)
         plans = build_placement_plans(n_plans, BENCH_WINDOWS, seed=seed)
 
-        incremental = ClusterScheduler(cluster, BENCH_WINDOWS)
+        scheduler = ClusterScheduler(cluster, BENCH_WINDOWS)
         begin = time.perf_counter()
-        batched_decisions = incremental.place_batch(plans)
-        incremental_seconds = time.perf_counter() - begin
+        batched_decisions = scheduler.place_batch(plans)
+        scheduler_seconds = time.perf_counter() - begin
 
-        dense = ClusterScheduler(cluster, BENCH_WINDOWS, incremental=False)
+        dense = ClusterLedger(cluster.server_configs(), BENCH_WINDOWS)
+        dense_rows = []
         begin = time.perf_counter()
-        dense_decisions = [dense.place(plan) for plan in plans[:dense_prefix]]
+        for plan in plans[:dense_prefix]:
+            memory_plan = plan.plans[Resource.MEMORY]
+            row = dense.best_fit_row_dense(
+                plan_demand_matrix(plan), memory_plan.guaranteed,
+                memory_plan.window_oversubscribed, True)
+            if row >= 0:
+                dense.commit_row(row, plan)
+            dense_rows.append(row)
         dense_seconds = time.perf_counter() - begin
 
-        if batched_decisions[:dense_prefix] != dense_decisions:
+        server_ids = list(scheduler.servers)
+        dense_server_ids = [server_ids[row] if row >= 0 else None
+                            for row in dense_rows]
+        if [decision.server_id for decision
+                in batched_decisions[:dense_prefix]] != dense_server_ids:
             raise AssertionError(
-                f"incremental place_batch diverged from the dense sequential "
+                f"place_batch diverged from the dense sequential "
                 f"baseline at {n_servers} servers")
-        incremental_rate = n_plans / incremental_seconds
+        scheduler_rate = n_plans / scheduler_seconds
         dense_rate = dense_prefix / dense_seconds
         curve.append({
             "n_servers": n_servers,
             "n_plans": n_plans,
-            "accepted": incremental.accepted_count(),
-            "rejected": incremental.rejected_count(),
-            "incremental_seconds": incremental_seconds,
-            "incremental_plans_per_s": incremental_rate,
+            "accepted": scheduler.accepted_count(),
+            "rejected": scheduler.rejected_count(),
+            "scheduler_seconds": scheduler_seconds,
+            "scheduler_plans_per_s": scheduler_rate,
             "dense_prefix_plans": dense_prefix,
             "dense_seconds": dense_seconds,
             "dense_plans_per_s": dense_rate,
             "dense_extrapolated": dense_prefix < n_plans,
             "dense_extrapolation_factor": n_plans / dense_prefix,
-            "speedup": incremental_rate / dense_rate,
+            "speedup": scheduler_rate / dense_rate,
             "decisions_identical": True,
             "ru_maxrss_kb": int(
                 _resource.getrusage(_resource.RUSAGE_SELF).ru_maxrss),

@@ -60,9 +60,18 @@ class FailureEvent:
             raise ValueError(f"unknown failure kind: {self.kind!r}")
 
 
+#: Valid values of ``SimulationConfig.sweep_trace_transport``.
+TRACE_TRANSPORTS = ("auto", "shared", "pickle")
+
+
 @dataclass
 class SimulationConfig:
-    """Knobs of the cluster-scale replay."""
+    """Knobs of the cluster-scale replay.
+
+    Construction validates the numeric knobs and the trace transport and
+    raises :class:`ValueError` on a bad value, so a misconfigured replay
+    fails before it produces numbers.
+    """
 
     #: Slot at which the evaluation period starts (history before it).
     history_end_slot: int = 7 * SLOTS_PER_DAY
@@ -115,6 +124,25 @@ class SimulationConfig:
     #: preempt spot VMs (see :meth:`ClusterScheduler.place`).  Off by
     #: default; the classic class-blind path stays bitwise-identical.
     class_aware_admission: bool = False
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.cpu_contention_fraction <= 1.0:
+            raise ValueError(
+                f"cpu_contention_fraction must be in (0, 1], got "
+                f"{self.cpu_contention_fraction!r}")
+        for name in ("parallelism", "sweep_parallelism", "n_estimators"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be at least 1, got {getattr(self, name)!r}")
+        for name in ("history_end_slot", "placement_start_slot"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be non-negative, got {getattr(self, name)!r}")
+        if self.sweep_trace_transport not in TRACE_TRANSPORTS:
+            raise ValueError(
+                f"unknown sweep trace transport "
+                f"{self.sweep_trace_transport!r}; expected one of "
+                f"{sorted(TRACE_TRANSPORTS)}")
 
 
 @dataclass

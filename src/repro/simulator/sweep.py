@@ -63,14 +63,11 @@ from multiprocessing import get_context
 from typing import Dict, Optional
 
 from repro.core.policy import STANDARD_POLICIES, PolicyConfig
-from repro.simulator.engine import SimulationConfig, simulate_policy
+from repro.simulator.engine import TRACE_TRANSPORTS, SimulationConfig, simulate_policy
 from repro.simulator.metrics import PolicyEvaluation, compare_policies
 from repro.simulator.replay import get_violation_meter
 from repro.trace.store import SharedTraceHandle, TraceStore
 from repro.trace.trace import Trace
-
-#: Valid values of ``SimulationConfig.sweep_trace_transport``.
-TRACE_TRANSPORTS = ("auto", "shared", "pickle")
 
 #: Start method for sweep workers.  ``spawn`` is used on every platform: it
 #: is the only method that exists everywhere, and it never inherits thread

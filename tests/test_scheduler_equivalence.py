@@ -9,9 +9,14 @@ import numpy as np
 import pytest
 
 from repro.core.resources import ALL_RESOURCES, Resource
-from repro.core.scheduler import ClusterScheduler, ReferenceLoopScheduler
+from repro.core.scheduler import (
+    _TIERED_MIN_SERVERS,
+    ClusterScheduler,
+    ReferenceLoopScheduler,
+)
 from repro.core.windows import plan_vm
 from repro.prediction.utilization_model import WindowUtilizationPrediction
+from repro.simulator.synthetic import build_scaled_bench_cluster
 from repro.trace.hardware import ClusterConfig
 from repro.trace.timeseries import TimeWindowConfig
 
@@ -263,12 +268,14 @@ def test_drain_during_saturation_matches_reference_loop(seed):
         assert set(account.plans) == set(reference.servers[server_id].plans)
 
 
-@pytest.mark.parametrize("incremental", [True, False])
-def test_disabled_server_never_wins(incremental):
-    """An empty disabled server is skipped by every best-fit path."""
+@pytest.mark.parametrize(
+    "cluster",
+    [MIXED_CLUSTER, build_scaled_bench_cluster(_TIERED_MIN_SERVERS)],
+    ids=["dense", "tiered"])
+def test_disabled_server_never_wins(cluster):
+    """An empty disabled server is skipped by both best-fit paths."""
     rng = np.random.default_rng(8)
-    scheduler = ClusterScheduler(MIXED_CLUSTER, WINDOWS,
-                                 incremental=incremental)
+    scheduler = ClusterScheduler(cluster, WINDOWS)
     target = next(iter(scheduler.servers))
     scheduler.disable_server(target)
     for i in range(60):

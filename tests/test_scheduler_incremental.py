@@ -1,27 +1,28 @@
-"""Differential tests for the incremental scheduler layer (PR 7).
+"""Differential tests for the scheduler's row caches and best-fit paths.
 
-Three contracts are pinned here:
+These contracts are pinned here:
 
-* the :class:`ClusterLedger` caches (``demand_sum`` / ``demand_peak`` /
-  ``va_peak`` / ``score_base`` / ``row_used``) stay *bitwise* equal to a
-  fresh full-matrix recompute after thousands of interleaved commit/release
+* the :class:`ClusterLedger` caches (``demand_peak`` / ``va_peak`` /
+  ``score_base`` / ``row_used``) stay *bitwise* equal to a fresh
+  full-matrix recompute after thousands of interleaved commit/release
   cycles -- the float-drift regression for the summation-order contract;
-* the incremental screened best-fit (``ClusterScheduler(incremental=True)``,
-  the default) and batched placement (:meth:`ClusterScheduler.place_batch`)
-  produce decision sequences identical to the dense PR 6 path and to
-  sequential :meth:`place`, including rejection ordering on saturated
-  clusters;
+* :class:`ClusterScheduler` placement (``place`` and
+  :meth:`ClusterScheduler.place_batch`) produces decision sequences
+  identical to a dense-only driver over
+  :meth:`ClusterLedger.best_fit_row_dense` and to sequential
+  :meth:`place`, including rejection ordering on saturated clusters;
 * the over-release accounting fixes: :meth:`ClusterLedger.release_row`
   raises on genuinely negative residues (double release, never-committed
   plans) instead of clamping, and
   :func:`bulk_cpu_capacity_and_memory_backing` returns empty vectors for
   empty account sequences (zero-server clusters);
-* the PR 9 tiered candidate index and multi-row scatter commit: decisions
-  at 100k servers (the band-descent regime) stay bitwise equal to
-  sequential ``place`` and the dense reference, rejection ordering
-  survives batch saturation, and an index rebuilt from scratch is
-  indistinguishable -- structurally and behaviourally -- from one
-  maintained incrementally through commit/release churn.
+* the tiered candidate index: decisions at 100k servers (the band-descent
+  regime) stay bitwise equal to sequential ``place`` and the dense
+  reference, a scan that gives up (``_TIERED_UNDECIDED``) falls back to
+  the dense decision, rejection ordering survives batch saturation, and
+  an index rebuilt from scratch is indistinguishable -- structurally and
+  behaviourally -- from one maintained incrementally through
+  commit/release churn.
 """
 
 import numpy as np
@@ -30,11 +31,15 @@ import pytest
 from repro.core.resources import ALL_RESOURCES, Resource
 from repro.core.scheduler import (
     _TIERED_MIN_SERVERS,
+    _TIERED_UNDECIDED,
+    SCORE_TOLERANCE,
     ClusterLedger,
     ClusterScheduler,
+    PlacementDecision,
     ServerAccount,
     bulk_cpu_capacity_and_memory_backing,
     plan_demand_matrix,
+    _plan_screen_stats,
 )
 from repro.simulator.synthetic import build_scaled_bench_cluster
 from repro.core.windows import plan_vm
@@ -69,13 +74,42 @@ def _random_plan(rng, vm_id, *, windows=WINDOWS):
                    oversubscribe=bool(rng.random() < 0.8))
 
 
+class DenseTwin:
+    """Dense-only oracle: :meth:`ClusterLedger.best_fit_row_dense` plus
+    :class:`ServerAccount` commit/release, with the scheduler's server ids."""
+
+    def __init__(self, cluster: ClusterConfig, windows: TimeWindowConfig):
+        configs = cluster.server_configs()
+        self.ledger = ClusterLedger(configs, windows)
+        self.accounts = [
+            ServerAccount(f"{cluster.cluster_id}-s{index:03d}", config,
+                          windows, ledger=self.ledger, row=index)
+            for index, config in enumerate(configs)]
+        self._placements = {}
+
+    def place(self, plan) -> PlacementDecision:
+        memory_plan = plan.plans[Resource.MEMORY]
+        row = self.ledger.best_fit_row_dense(
+            plan_demand_matrix(plan), memory_plan.guaranteed,
+            memory_plan.window_oversubscribed, True)
+        if row < 0:
+            return PlacementDecision(plan.vm_id, False, None, "no server fits")
+        account = self.accounts[row]
+        account.commit(plan)
+        self._placements[plan.vm_id] = account
+        return PlacementDecision(plan.vm_id, True, account.server_id)
+
+    def deallocate(self, vm_id: str) -> None:
+        self._placements.pop(vm_id).release(vm_id)
+
+
 def _assert_caches_fresh(ledger: ClusterLedger) -> None:
     """Every cache must equal a from-scratch reduction, bitwise."""
-    assert np.array_equal(ledger.demand_sum, ledger.demand.sum(axis=2))
+    demand_sum = ledger.demand.sum(axis=2)
     assert np.array_equal(ledger.demand_peak, ledger.demand.max(axis=2))
     assert np.array_equal(ledger.va_peak, ledger.va_demand.max(axis=1))
     fresh_base = np.array([
-        (ledger.demand_sum[:, s] / ledger.n_windows)
+        (demand_sum[:, s] / ledger.n_windows)
         @ ledger._inv_capacity[:, s]
         for s in range(ledger.n_servers)])
     assert np.array_equal(ledger.score_base, fresh_base)
@@ -90,7 +124,7 @@ class TestIncrementalCacheChurn:
     def test_thousands_of_commit_release_cycles_leave_caches_bitwise(self, seed):
         rng = np.random.default_rng(seed)
         scheduler = ClusterScheduler(SMALL_CLUSTER, WINDOWS)
-        dense = ClusterScheduler(SMALL_CLUSTER, WINDOWS, incremental=False)
+        dense = DenseTwin(SMALL_CLUSTER, WINDOWS)
         placed: list = []
         for i in range(3000):
             plan = _random_plan(rng, f"vm-{i}")
@@ -104,24 +138,27 @@ class TestIncrementalCacheChurn:
                 scheduler.deallocate(victim)
                 dense.deallocate(victim)
         _assert_caches_fresh(scheduler.ledger)
-        # The incremental scores must equal a fresh full mean(axis=2) pass.
+        # The churned scores must equal a fresh full mean(axis=2) pass.
         assert np.array_equal(scheduler.ledger.packing_scores(),
                               dense.ledger.packing_scores())
         assert np.array_equal(scheduler.ledger.demand, dense.ledger.demand)
 
-    def test_incremental_scores_match_dense_for_arbitrary_plans(self):
+    def test_screen_scores_match_dense_for_arbitrary_plans(self):
         rng = np.random.default_rng(11)
         scheduler = ClusterScheduler(SMALL_CLUSTER, WINDOWS)
         for i in range(200):
             scheduler.place(_random_plan(rng, f"vm-{i}"))
         ledger = scheduler.ledger
-        probe = plan_demand_matrix(_random_plan(rng, "probe"))
-        approx_input = probe.mean(axis=1)
-        approx = ledger.approx_packing_scores(approx_input)
+        plan = _random_plan(rng, "probe")
+        probe = plan_demand_matrix(plan)
+        memory_plan = plan.plans[Resource.MEMORY]
+        stats = _plan_screen_stats(probe, memory_plan.window_oversubscribed)
+        _, _, approx = ledger._screen_rows(
+            np.arange(ledger.n_servers), memory_plan.guaranteed, True, stats)
         exact = ledger.packing_scores(probe)
-        # The approximation drives candidate screening only; it must stay
+        # The approximation drives the tiered screen only; it must stay
         # within the tolerance band the gathered exact re-score relies on.
-        assert np.all(np.abs(approx - exact) < 1e-9)
+        assert np.all(np.abs(approx - exact) < SCORE_TOLERANCE)
 
 
 class TestBatchedPlacement:
@@ -145,7 +182,7 @@ class TestBatchedPlacement:
     def test_place_batch_equals_dense_reference(self):
         rng = np.random.default_rng(5)
         plans = [_random_plan(rng, f"vm-{i}") for i in range(300)]
-        dense = ClusterScheduler(SMALL_CLUSTER, WINDOWS, incremental=False)
+        dense = DenseTwin(SMALL_CLUSTER, WINDOWS)
         batched = ClusterScheduler(SMALL_CLUSTER, WINDOWS)
         assert batched.place_batch(plans) == [dense.place(p) for p in plans]
 
@@ -167,15 +204,14 @@ class TestBatchedPlacement:
 
 
 class TestTieredIndexDifferential:
-    """PR 9: band-descent candidate index + provable-run scatter commits."""
+    """Band-descent candidate index above ``_TIERED_MIN_SERVERS``."""
 
     def test_100k_server_batch_matches_sequential_and_dense(self):
         # Smoke-scale version of the benchmark acceptance criterion: at
         # 100k servers every placement flows through the tiered index
-        # (batch and sequential alike) and the batch path additionally
-        # uses provable runs with multi-row scatter commits.  All three
-        # schedulers must agree bitwise -- vm ids, accept/reject order,
-        # chosen rows -- and leave bitwise-identical ledgers.
+        # (batch and sequential alike).  The batch, the sequential loop and
+        # the dense-only twin must agree bitwise -- vm ids, accept/reject
+        # order, chosen rows -- and leave bitwise-identical ledgers.
         cluster = build_scaled_bench_cluster(100_000)
         rng = np.random.default_rng(17)
         plans = [_random_plan(rng, f"vm-{i}") for i in range(60)]
@@ -183,7 +219,7 @@ class TestTieredIndexDifferential:
         batched = ClusterScheduler(cluster, WINDOWS)
         assert batched.ledger.n_servers >= _TIERED_MIN_SERVERS
         sequential = ClusterScheduler(cluster, WINDOWS)
-        dense = ClusterScheduler(cluster, WINDOWS, incremental=False)
+        dense = DenseTwin(cluster, WINDOWS)
 
         expected = [sequential.place(plan) for plan in plans]
         assert batched.place_batch(plans) == expected
@@ -196,11 +232,40 @@ class TestTieredIndexDifferential:
         assert np.array_equal(batched.ledger.score_base,
                               dense.ledger.score_base)
 
+    def test_undecided_scan_falls_back_to_dense(self):
+        # Crowd one score band with more than n_servers // 8 used rows of
+        # one capacity kind (identical residents give identical score
+        # bases), so the descent's first chunk overruns the tiered budget
+        # and the scan gives up.  best_fit_row must then return exactly
+        # the dense decision.
+        cluster = build_scaled_bench_cluster(_TIERED_MIN_SERVERS)
+        ledger = ClusterLedger(cluster.server_configs(), WINDOWS)
+        assert ledger.n_servers >= _TIERED_MIN_SERVERS
+        rng = np.random.default_rng(41)
+        resident = _random_plan(rng, "resident")
+        crowd = ledger.n_servers // 8 + 64
+        rows = np.flatnonzero(ledger._capacity_kind == ledger._capacity_kind[0])
+        assert rows.size >= crowd
+        for row in rows[:crowd]:
+            ledger.commit_row(int(row), resident)
+        assert max(map(len, ledger._band_members.values())) \
+            > ledger.n_servers // 8
+        for i in range(20):
+            plan = _random_plan(rng, f"probe-{i}")
+            memory_plan = plan.plans[Resource.MEMORY]
+            args = (plan_demand_matrix(plan), memory_plan.guaranteed,
+                    memory_plan.window_oversubscribed, True)
+            assert ledger._best_fit_row_tiered(*args) == _TIERED_UNDECIDED
+            row = ledger.best_fit_row(*args)
+            assert row == ledger.best_fit_row_dense(*args)
+            assert row >= 0
+            ledger.commit_row(row, plan)
+
     def test_saturated_batch_preserves_rejection_ordering(self):
         # Pre-saturate the tiny cluster sequentially on both twins, then
-        # feed a batch that is mostly rejections: the provable-run
-        # protocol must reproduce the exact interleaving of residual
-        # accepts and rejects, not just the accept set.
+        # feed a batch that is mostly rejections: batched admission must
+        # reproduce the exact interleaving of residual accepts and
+        # rejects, not just the accept set.
         rng = np.random.default_rng(23)
         warm = [_random_plan(rng, f"warm-{i}") for i in range(20)]
         batch = [_random_plan(rng, f"late-{i}") for i in range(120)]
@@ -224,23 +289,28 @@ class TestTieredIndexDifferential:
         # band-descent path, then rebuild one twin's index from scratch.
         # The rebuilt structures must match what incremental maintenance
         # produced, and subsequent decisions must stay bitwise equal to
-        # the never-rebuilt twin.
+        # the never-rebuilt twin.  A dense-only twin mirrors the churn, so
+        # the tiered path is also pinned to the dense decisions under
+        # releases.
         cluster = build_scaled_bench_cluster(10_000)
         rng = np.random.default_rng(31)
         churned = ClusterScheduler(cluster, WINDOWS)
         twin = ClusterScheduler(cluster, WINDOWS)
+        dense = DenseTwin(cluster, WINDOWS)
         assert churned.ledger.n_servers >= _TIERED_MIN_SERVERS
         placed: list = []
         for i in range(400):
             plan = _random_plan(rng, f"vm-{i}")
             decision = churned.place(plan)
             assert twin.place(plan) == decision
+            assert dense.place(plan) == decision
             if decision.accepted:
                 placed.append(plan.vm_id)
             if placed and rng.random() < 0.4:
                 victim = placed.pop(int(rng.integers(len(placed))))
                 churned.deallocate(victim)
                 twin.deallocate(victim)
+                dense.deallocate(victim)
 
         ledger = churned.ledger
         maintained_row_band = ledger._row_band.copy()

@@ -42,6 +42,29 @@ def sim_config(small_trace):
     return SimulationConfig(clusters=[cluster], n_estimators=3)
 
 
+class TestSimulationConfigValidation:
+    @pytest.mark.parametrize("field, value, message", [
+        ("cpu_contention_fraction", -1.0, "cpu_contention_fraction"),
+        ("cpu_contention_fraction", 0.0, "cpu_contention_fraction"),
+        ("cpu_contention_fraction", 1.5, "cpu_contention_fraction"),
+        ("parallelism", 0, "parallelism"),
+        ("sweep_parallelism", 0, "sweep_parallelism"),
+        ("n_estimators", 0, "n_estimators"),
+        ("history_end_slot", -1, "history_end_slot"),
+        ("placement_start_slot", -1, "placement_start_slot"),
+        ("sweep_trace_transport", "carrier-pigeon", "sweep trace transport"),
+    ])
+    def test_rejects_bad_value(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SimulationConfig(**{field: value})
+
+    def test_accepts_boundary_values(self):
+        config = SimulationConfig(cpu_contention_fraction=1.0, parallelism=1,
+                                  sweep_parallelism=1, n_estimators=1,
+                                  history_end_slot=0, placement_start_slot=0)
+        assert config.cpu_contention_fraction == 1.0
+
+
 class TestClusterSimulation:
     def test_single_policy_run(self, small_trace, sim_config):
         result = simulate_policy(small_trace, NO_OVERSUBSCRIPTION_POLICY, sim_config)
